@@ -53,6 +53,15 @@ type engine_stats = {
 let engine_stats_create () =
   { es_vector = 0; es_row = 0; es_parts_scanned = 0; es_parts_pruned = 0; es_dop = 0 }
 
+(** Fold one execution's [es] into the running total [tot]: counts add,
+    the DOP keeps its maximum. *)
+let engine_stats_add (tot : engine_stats) (es : engine_stats) =
+  tot.es_vector <- tot.es_vector + es.es_vector;
+  tot.es_row <- tot.es_row + es.es_row;
+  tot.es_parts_scanned <- tot.es_parts_scanned + es.es_parts_scanned;
+  tot.es_parts_pruned <- tot.es_parts_pruned + es.es_parts_pruned;
+  if es.es_dop > tot.es_dop then tot.es_dop <- es.es_dop
+
 (* process-wide metrics riding along the per-execution counters: engine
    dispatch totals and the batch-fill histogram. Handles are lazy so the
    registry entries only exist once an executor actually runs, and

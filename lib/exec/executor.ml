@@ -76,6 +76,7 @@ type engine_stats = Cursor.engine_stats = {
 let engine_name = Cursor.engine_name
 let engine_of_string = Cursor.engine_of_string
 let engine_stats_create = Cursor.engine_stats_create
+let engine_stats_add = Cursor.engine_stats_add
 
 type node_stat = Cursor.node_stat = {
   mutable ns_calls : int;

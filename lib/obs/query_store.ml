@@ -17,18 +17,18 @@
     counted). Hash collisions are disambiguated by the canonical query
     text, mirroring {!Plan_cache}'s verified probes.
 
-    {b Domain safety.} Sharded exactly like the plan cache: the
-    fingerprint picks one of a power-of-two number of shards, each an
-    independent hashtable behind its own mutex. [observe] performs
-    {e every} mutation of the entry — counts, meters, the embedded
-    latency histogram, and the optional hard-parse transformation and
-    Q-error attachments — inside the one shard lock, so an entry's
-    fields never tear apart under concurrent executions of the same
-    query shape and no observation is lost. The default [shards = 1]
-    keeps the single-lock behavior (and one global LRU order) of a
-    private store. The bare [record_tx] / [record_qerr] helpers mutate
-    an entry directly and are for single-domain use only; concurrent
-    callers pass [~txs] / [~qerrs] to [observe] instead.
+    {b Domain safety.} Entries live in one {!Concur.Lru} table, the
+    same structure under the plan cache: it owns sharding, locking,
+    the capacity bound (over all shards) and the choice of victim.
+    [observe] performs {e every} mutation of the entry — counts,
+    meters, the embedded latency histogram, and the optional hard-parse
+    transformation and Q-error attachments — inside the one shard
+    lock, so an entry's fields never tear apart under concurrent
+    executions of the same query shape and no observation is lost.
+    The default [shards = 1] keeps one exact LRU order. The bare
+    [record_tx] / [record_qerr] helpers mutate an entry directly and
+    are for single-domain use only; concurrent callers pass [~txs] /
+    [~qerrs] to [observe] instead.
 
     Deliberately generic (fingerprint [int] + rendered text) so it can
     live below {!Sqlir} in the build graph; the service layer owns the
@@ -66,7 +66,6 @@ type entry = {
   mutable qe_qerr_max : float;  (** worst per-operator Q-error observed *)
   mutable qe_qerr_sum : float;
   mutable qe_qerr_n : int;  (** per-operator Q-error samples *)
-  mutable qe_last_used : int;  (** logical clock of the last execution *)
 }
 
 (** Total execution / parse wall seconds accumulated by an entry. *)
@@ -74,94 +73,14 @@ let qe_exec_s e = e.qe_secs.(0)
 
 let qe_parse_s e = e.qe_secs.(1)
 
-type shard = {
-  mu : Mutex.t;
-  tbl : (int, entry list) Hashtbl.t;
-  mutable clock : int;
-  mutable evictions : int;
-  mutable entries : int;  (** live entry count (O(1) capacity check) *)
-}
+type t = (entry, unit) Concur.Lru.t
 
-type t = {
-  shards : shard array;  (** power-of-two length *)
-  smask : int;
-  shard_capacity : int;  (** per-shard entry bound *)
-}
+let create ?(capacity = 256) ?shards () : t =
+  Concur.Lru.create ?shards ~capacity ~stats:ignore ()
 
-let create ?(capacity = 256) ?(shards = 1) () : t =
-  let capacity = max 1 capacity in
-  let n =
-    let rec np2 k = if k >= shards || k >= 256 then k else np2 (k * 2) in
-    np2 1
-  in
-  let shard_capacity = (capacity + n - 1) / n in
-  {
-    shards =
-      Array.init n (fun _ ->
-          {
-            mu = Mutex.create ();
-            tbl = Hashtbl.create (max 16 shard_capacity);
-            clock = 0;
-            evictions = 0;
-            entries = 0;
-          });
-    smask = n - 1;
-    shard_capacity;
-  }
-
-let shard_of t (fp : int) = Array.unsafe_get t.shards (fp land t.smask)
-
-let length t =
-  Array.fold_left
-    (fun n s ->
-      Mutex.lock s.mu;
-      let e = s.entries in
-      Mutex.unlock s.mu;
-      n + e)
-    0 t.shards
-
-let evictions t =
-  Array.fold_left
-    (fun n s ->
-      Mutex.lock s.mu;
-      let e = s.evictions in
-      Mutex.unlock s.mu;
-      n + e)
-    0 t.shards
-
-let entries t : entry list =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.mu;
-      let es = Hashtbl.fold (fun _ es acc -> es @ acc) s.tbl acc in
-      Mutex.unlock s.mu;
-      es)
-    [] t.shards
-
-(* caller holds [s.mu] *)
-let evict_lru_locked s =
-  let victim =
-    Hashtbl.fold
-      (fun _ es acc ->
-        List.fold_left
-          (fun acc e ->
-            match acc with
-            | Some best when best.qe_last_used <= e.qe_last_used -> acc
-            | _ -> Some e)
-          acc es)
-      s.tbl None
-  in
-  match victim with
-  | None -> ()
-  | Some e ->
-      (match Hashtbl.find_opt s.tbl e.qe_fp with
-      | None -> ()
-      | Some es -> (
-          match List.filter (fun e' -> e' != e) es with
-          | [] -> Hashtbl.remove s.tbl e.qe_fp
-          | es' -> Hashtbl.replace s.tbl e.qe_fp es'));
-      s.entries <- s.entries - 1;
-      s.evictions <- s.evictions + 1
+let length (t : t) = Concur.Lru.length t
+let evictions (t : t) = Concur.Lru.evictions t
+let entries (t : t) : entry list = Concur.Lru.fold t (fun acc e -> e :: acc) []
 
 (* caller holds the entry's shard lock *)
 let record_tx_locked (e : entry) ~(name : string) ~(accepted : bool) : unit =
@@ -199,58 +118,38 @@ let observe ?(txs : (string * bool) list = []) ?(qerrs : float list = [])
     ~(exec_s : float) ~(parse_s : float) ~(meter_names : string array)
     ~(meter : int array) ~(vec_pipelines : int) ~(row_pipelines : int) : entry
     =
-  let s = shard_of t fp in
-  Mutex.lock s.mu;
-  let e =
-    let bucket =
-      match Hashtbl.find_opt s.tbl fp with None -> [] | Some es -> es
-    in
-    match
-      match bucket with
+  Concur.Lru.find_or_add t fp
+    ~pick:(fun () -> function
       | [ e ] -> Some e (* common case: no collision, skip rendering *)
       | [] -> None
       | es ->
           let txt = text () in
-          List.find_opt (fun e -> e.qe_text = txt) es
-    with
-    | Some e -> e
-    | None ->
-        while s.entries >= t.shard_capacity do
-          evict_lru_locked s
-        done;
-        let e =
-          {
-            qe_fp = fp;
-            qe_text = text ();
-            qe_execs = 0;
-            qe_soft = 0;
-            qe_hard = 0;
-            qe_reval = 0;
-            qe_inval = 0;
-            qe_rows = 0;
-            qe_secs = [| 0.; 0. |];
-            qe_latency = M.hist_create "latency_seconds";
-            qe_meter_names = meter_names;
-            qe_meter = Array.make (Array.length meter_names) 0;
-            qe_vec_pipelines = 0;
-            qe_row_pipelines = 0;
-            qe_dop_max = 0;
-            qe_parts_scanned = 0;
-            qe_parts_pruned = 0;
-            qe_tx = Hashtbl.create 8;
-            qe_qerr_max = nan;
-            qe_qerr_sum = 0.;
-            qe_qerr_n = 0;
-            qe_last_used = 0;
-          }
-        in
-        Hashtbl.replace s.tbl fp
-          (e :: (match Hashtbl.find_opt s.tbl fp with None -> [] | Some es -> es));
-        s.entries <- s.entries + 1;
-        e
-  in
-  s.clock <- s.clock + 1;
-  e.qe_last_used <- s.clock;
+          List.find_opt (fun e -> e.qe_text = txt) es)
+    ~make:(fun () ->
+      {
+        qe_fp = fp;
+        qe_text = text ();
+        qe_execs = 0;
+        qe_soft = 0;
+        qe_hard = 0;
+        qe_reval = 0;
+        qe_inval = 0;
+        qe_rows = 0;
+        qe_secs = [| 0.; 0. |];
+        qe_latency = M.hist_create "latency_seconds";
+        qe_meter_names = meter_names;
+        qe_meter = Array.make (Array.length meter_names) 0;
+        qe_vec_pipelines = 0;
+        qe_row_pipelines = 0;
+        qe_dop_max = 0;
+        qe_parts_scanned = 0;
+        qe_parts_pruned = 0;
+        qe_tx = Hashtbl.create 8;
+        qe_qerr_max = nan;
+        qe_qerr_sum = 0.;
+        qe_qerr_n = 0;
+      })
+  @@ fun () e ->
   e.qe_execs <- e.qe_execs + 1;
   (match outcome with
   | "hit" -> e.qe_soft <- e.qe_soft + 1
@@ -296,7 +195,6 @@ let observe ?(txs : (string * bool) list = []) ?(qerrs : float list = [])
   e.qe_parts_pruned <- e.qe_parts_pruned + parts_pruned;
   List.iter (fun (name, accepted) -> record_tx_locked e ~name ~accepted) txs;
   if qerrs <> [] then record_qerr_locked e qerrs;
-  Mutex.unlock s.mu;
   e
 
 (** Record one transformation attempt (and whether its rewrite was

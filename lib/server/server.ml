@@ -7,9 +7,8 @@
     cursor cache concurrently. The pieces:
 
     - {b Sessions} ({!session}) carry client state: an id, default
-      binds, an optional engine choice overriding the pool default, and
-      per-session outcome counters.
-    - {b One bounded MPMC request queue} ({!Chan}) feeds {b N domain
+      binds, and per-session outcome counters.
+    - {b One bounded MPMC request queue} ({!Concur.Chan}) feeds {b N domain
       workers} ([Domain.spawn] each). Admission control is explicit:
       a full queue {e rejects} immediately ([Rejected] — the client can
       back off), and each request carries an absolute deadline checked
@@ -20,17 +19,18 @@
       request still gets exactly one outcome (the accounting identity
       the tests check).
     - {b Shared plan cache and query store}: all workers' services are
-      created over one sharded {!Service.Plan_cache} and
-      {!Obs.Query_store}, so a hard parse by any worker is a soft parse
-      for every other — the whole point of the shared server. Catalog
+      created over one {!Service.Plan_cache} and {!Obs.Query_store},
+      so a hard parse by any worker is a soft parse for every other —
+      the whole point of the shared server. Both are sharded
+      [4 x workers] ways to spread lock contention; their capacity
+      bounds the whole table whatever the shard count. Catalog
       stats epochs publish through an atomic map
       ({!Catalog.epochs_snapshot}), so a stats refresh during traffic
       invalidates cleanly across workers.
-    - {b Everything else is per-worker}: each worker owns its services
-      (one per engine variant a session demands), whose parse counters,
-      hint memos and meter accumulators stay single-domain. Pool-level
-      reporting merges the per-worker reports and snapshots the shared
-      cache once.
+    - {b Everything else is per-worker}: each worker owns exactly one
+      service, whose parse counters, hint memos and meter accumulators
+      stay single-domain. Pool-level reporting merges the per-worker
+      reports and snapshots the shared cache once.
 
     Before spawning, {!create} calls {!Service.prewarm}: the service
     layer caches its registry handles in [lazy] cells, and concurrent
@@ -43,9 +43,6 @@ module Pc = Service.Plan_cache
 module Qs = Obs.Query_store
 module Mx = Obs.Metrics
 module Db = Storage.Db
-
-module Chan = Chan
-(** Re-export: [Server] is the library's toplevel module. *)
 
 (* ------------------------------------------------------------------ *)
 (* Requests and outcomes                                                *)
@@ -122,8 +119,6 @@ type session_stats = {
 
 type session = {
   se_id : int;
-  se_engine : Exec.Executor.engine option;
-      (** engine override for this session; [None] = pool default *)
   se_binds : Value.t list;  (** default bind vector *)
   se_stats : session_stats;
 }
@@ -146,9 +141,6 @@ type config = {
   deadline_s : float;
       (** per-request deadline in seconds from submission; [<= 0.] =
           none. Checked when a worker dequeues the request. *)
-  shards : int;
-      (** plan-cache / query-store shards; [0] = auto ([4 x workers],
-          rounded up to a power of two) *)
   svc : Svc.config;  (** per-worker service configuration *)
 }
 
@@ -157,26 +149,18 @@ let default_config =
     workers = 1;
     queue_depth = 64;
     deadline_s = 0.;
-    shards = 0;
     svc = Svc.default_config;
   }
 
-(** One worker's single-domain state. [w_services] is touched only by
-    the owning domain (and by reporting after the pool is drained). *)
-type worker = {
-  w_id : int;
-  mutable w_services : (Exec.Executor.engine * Svc.t) list;
-      (** one service per engine variant sessions demanded, all over
-          the shared cache and store *)
-}
-
 type t = {
   cfg : config;
-  db : Db.t;
   cache : Pc.t;  (** shared, sharded *)
   store : Qs.t;  (** shared, sharded *)
-  queue : request Chan.t;
-  workers : worker array;
+  queue : request Concur.Chan.t;
+  services : Svc.t array;
+      (** one per worker, over the shared cache and store; each is
+          touched only by its worker's domain (and by reporting after
+          the pool is drained) *)
   mutable domains : unit Domain.t array;
   next_session : int Atomic.t;
   (* pool accounting: every submitted request ends in exactly one of
@@ -193,23 +177,7 @@ type t = {
           publication, under [pub_mu]) *)
 }
 
-(** The worker's service for [engine] (pool default when [None]),
-    created on first use over the shared cache and store. *)
-let service_for t (w : worker) (engine : Exec.Executor.engine option) : Svc.t =
-  let engine = Option.value ~default:t.cfg.svc.Svc.engine engine in
-  match List.assoc_opt engine w.w_services with
-  | Some svc -> svc
-  | None ->
-      let svc =
-        Svc.create
-          ~config:{ t.cfg.svc with Svc.engine }
-          ~cache:t.cache ~store:t.store t.db
-      in
-      w.w_services <- (engine, svc) :: w.w_services;
-      svc
-
-let exec_request t (w : worker) (rq : request) : outcome =
-  let svc = service_for t w rq.rq_session.se_engine in
+let exec_request (svc : Svc.t) (rq : request) : outcome =
   match
     match rq.rq_stmt with
     | Ir q -> Svc.exec_ir svc q rq.rq_binds
@@ -229,9 +197,9 @@ let resolve_session (rq : request) (o : outcome) =
   | Timed_out -> Atomic.incr st.ss_timed_out);
   fulfill rq.rq_handle o
 
-let worker_loop t (w : worker) () =
+let worker_loop t (svc : Svc.t) () =
   let rec loop () =
-    match Chan.pop t.queue with
+    match Concur.Chan.pop t.queue with
     | None -> ()  (* closed and drained: exit *)
     | Some rq ->
         (if Unix.gettimeofday () > rq.rq_deadline then begin
@@ -241,7 +209,7 @@ let worker_loop t (w : worker) () =
          end
          else begin
            Atomic.incr t.g_inflight;
-           let o = exec_request t w rq in
+           let o = exec_request svc rq in
            Atomic.decr t.g_inflight;
            (match o with
            | Done _ -> Atomic.incr t.c_done
@@ -254,25 +222,25 @@ let worker_loop t (w : worker) () =
   loop ()
 
 (** Build the pool and spawn its workers. The shared plan cache and
-    query store are sharded [4 x workers] by default so concurrent
-    probes rarely meet on a lock. *)
+    query store are sharded [4 x workers] ways so concurrent probes
+    rarely meet on a lock. *)
 let create ?(config = default_config) (db : Db.t) : t =
   let config = { config with workers = max 1 config.workers } in
   (* force every lazy registry handle on the query path before any
      domain can race a suspension *)
   Svc.prewarm ();
-  let shards =
-    if config.shards > 0 then config.shards else 4 * config.workers
-  in
+  let shards = 4 * config.workers in
+  let cache = Pc.create ~capacity:config.svc.Svc.capacity ~shards () in
+  let store = Qs.create ~capacity:config.svc.Svc.store_capacity ~shards () in
   let t =
     {
       cfg = config;
-      db;
-      cache = Pc.create ~capacity:config.svc.Svc.capacity ~shards ();
-      store = Qs.create ~capacity:config.svc.Svc.store_capacity ~shards ();
-      queue = Chan.create ~capacity:config.queue_depth;
-      workers =
-        Array.init config.workers (fun i -> { w_id = i; w_services = [] });
+      cache;
+      store;
+      queue = Concur.Chan.create ~capacity:config.queue_depth;
+      services =
+        Array.init config.workers (fun _ ->
+            Svc.create ~config:config.svc ~cache ~store db);
       domains = [||];
       next_session = Atomic.make 0;
       c_submitted = Atomic.make 0;
@@ -286,20 +254,18 @@ let create ?(config = default_config) (db : Db.t) : t =
     }
   in
   t.domains <-
-    Array.map (fun w -> Domain.spawn (worker_loop t w)) t.workers;
+    Array.map (fun svc -> Domain.spawn (worker_loop t svc)) t.services;
   t
 
 let cache t = t.cache
 let query_store t = t.store
-let queue_length t = Chan.length t.queue
+let queue_length t = Concur.Chan.length t.queue
 
-(** Open a session. [engine] overrides the pool's execution engine for
-    this session's requests; [binds] is the default bind vector used
-    when a submission does not pass its own. *)
-let session ?engine ?(binds = []) t : session =
+(** Open a session. [binds] is the default bind vector used when a
+    submission does not pass its own. *)
+let session ?(binds = []) t : session =
   {
     se_id = Atomic.fetch_and_add t.next_session 1;
-    se_engine = engine;
     se_binds = binds;
     se_stats =
       {
@@ -329,7 +295,7 @@ let submit ?binds t (se : session) (stmt : stmt) : handle =
   let rq = make_request t se ?binds stmt in
   Atomic.incr t.c_submitted;
   Atomic.incr se.se_stats.ss_submitted;
-  if not (Chan.try_push t.queue rq) then begin
+  if not (Concur.Chan.try_push t.queue rq) then begin
     Atomic.incr t.c_rejected;
     resolve_session rq Rejected
   end;
@@ -341,7 +307,7 @@ let submit_wait ?binds t (se : session) (stmt : stmt) : handle =
   let rq = make_request t se ?binds stmt in
   Atomic.incr t.c_submitted;
   Atomic.incr se.se_stats.ss_submitted;
-  if not (Chan.push t.queue rq) then begin
+  if not (Concur.Chan.push t.queue rq) then begin
     Atomic.incr t.c_rejected;
     resolve_session rq Rejected
   end;
@@ -356,15 +322,13 @@ let run_batch ?binds t (se : session) (stmts : stmt list) : outcome list =
 (** Close the queue, drain it, and join every worker. Requests already
     accepted still execute; later submissions are rejected. *)
 let shutdown t =
-  Chan.close t.queue;
+  Concur.Chan.close t.queue;
   Array.iter Domain.join t.domains;
   t.domains <- [||]
 
-(** Every service the pool's workers created. Call only when the pool
-    is quiescent (after {!shutdown}, or with no traffic in flight). *)
-let services t : Svc.t list =
-  Array.to_list t.workers
-  |> List.concat_map (fun w -> List.map snd w.w_services)
+(** The workers' services, one per worker. Call only when the pool is
+    quiescent (after {!shutdown}, or with no traffic in flight). *)
+let services t : Svc.t list = Array.to_list t.services
 
 (* ------------------------------------------------------------------ *)
 (* Result digests                                                       *)
@@ -423,17 +387,14 @@ type report = {
 
 let report t : report =
   let soft = ref 0 and hard = ref 0 in
-  let scanned = ref 0 and pruned = ref 0 and dop = ref 0 in
-  List.iter
+  let es = Exec.Executor.engine_stats_create () in
+  Array.iter
     (fun svc ->
       let r = Svc.report svc in
       soft := !soft + r.Svc.sv_soft_parses;
       hard := !hard + r.Svc.sv_hard_parses;
-      let es = Svc.engine_stats svc in
-      scanned := !scanned + es.Exec.Executor.es_parts_scanned;
-      pruned := !pruned + es.Exec.Executor.es_parts_pruned;
-      if es.Exec.Executor.es_dop > !dop then dop := es.Exec.Executor.es_dop)
-    (services t);
+      Exec.Executor.engine_stats_add es (Svc.engine_stats svc))
+    t.services;
   {
     rp_workers = t.cfg.workers;
     rp_submitted = Atomic.get t.c_submitted;
@@ -441,13 +402,13 @@ let report t : report =
     rp_failed = Atomic.get t.c_failed;
     rp_rejected = Atomic.get t.c_rejected;
     rp_timed_out = Atomic.get t.c_timed_out;
-    rp_queued = Chan.length t.queue;
+    rp_queued = Concur.Chan.length t.queue;
     rp_inflight = Atomic.get t.g_inflight;
     rp_soft_parses = !soft;
     rp_hard_parses = !hard;
-    rp_parts_scanned = !scanned;
-    rp_parts_pruned = !pruned;
-    rp_dop_max = !dop;
+    rp_parts_scanned = es.Exec.Executor.es_parts_scanned;
+    rp_parts_pruned = es.Exec.Executor.es_parts_pruned;
+    rp_dop_max = es.Exec.Executor.es_dop;
     rp_cache = Pc.stats t.cache;
     rp_hit_rate = Pc.hit_rate t.cache;
     rp_entries = Pc.length t.cache;
@@ -461,7 +422,7 @@ let report t : report =
 let publish_metrics t =
   if !Mx.enabled then begin
     Mx.set (Mx.gauge Mx.default "srv_queue_depth")
-      (float_of_int (Chan.length t.queue));
+      (float_of_int (Concur.Chan.length t.queue));
     Mx.set (Mx.gauge Mx.default "srv_inflight")
       (float_of_int (Atomic.get t.g_inflight));
     Mutex.lock t.pub_mu;

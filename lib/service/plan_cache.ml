@@ -20,20 +20,15 @@
     subtrees, so the figure is an upper bound of the cache's own
     footprint).
 
-    {b Domain safety.} The cache is {e sharded}: the key hash picks one
-    of a power-of-two number of shards, each an independent hashtable
-    with its own mutex, LRU clock, statistics and memory accounting.
-    Every operation takes exactly one shard lock, so concurrent workers
-    probing different shards never contend and accounting stays exact:
-    words and entry counts move only under the owning shard's lock, and
-    a snapshot sums the per-shard figures. Capacity is enforced
-    per-shard at [ceil(capacity / shards)], so total occupancy never
-    exceeds (rounded-up) capacity and eviction needs no global
-    coordination. Racing hard parses of the same new query are deduped
-    at insert: [store] returns the entry that won, and the loser's plan
-    is dropped rather than double-counted. The default [shards = 1]
-    preserves the exact single-threaded behavior (one global LRU
-    order). *)
+    {b Domain safety.} Entries live in one {!Concur.Lru} table, which
+    owns sharding, locking, the capacity bound and the choice of
+    victim; capacity bounds the whole cache at any shard count. The
+    cache's own statistics (hits, misses, invalidations, collisions)
+    are per-shard records mutated under the owning shard's lock and
+    summed by [stats]. Racing hard parses of the same new query are
+    deduped at insert: [store] returns the entry that won, and the
+    loser's plan is dropped rather than double-counted. The default
+    [shards = 1] keeps one exact LRU order. *)
 
 open Sqlir
 module A = Ast
@@ -58,7 +53,6 @@ type entry = {
   mutable e_epochs : (string * int) list;
       (** stats-epoch snapshot per table, refreshed on revalidation;
           mutated only under the owning shard's lock *)
-  mutable e_last_used : int;  (** logical clock of the last probe *)
   e_words : int;  (** [Obj.reachable_words] of the entry at insertion *)
 }
 
@@ -66,6 +60,7 @@ type stats = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
+      (** counted by the table; stays 0 in the per-shard records *)
   mutable invalidations : int;
       (** probes whose epoch snapshot was stale (recompiled; the old
           plan may still have been kept by the cost-delta guard) *)
@@ -76,178 +71,65 @@ type stats = {
 let stats_create () =
   { hits = 0; misses = 0; evictions = 0; invalidations = 0; collisions = 0 }
 
-type shard = {
-  mu : Mutex.t;
-  tbl : (int, entry list) Hashtbl.t;
-  st : stats;
-  mutable clock : int;
-  mutable words : int;  (** sum of [e_words] over this shard's entries *)
-  mutable entries : int;  (** live entry count (O(1) capacity check) *)
-}
-
-type t = {
-  shards : shard array;  (** power-of-two length *)
-  smask : int;
-  shard_capacity : int;  (** per-shard entry bound *)
-  capacity : int;  (** requested total bound (reporting only) *)
-}
+type t = (entry, stats) Concur.Lru.t
 
 (** [shards] is rounded up to a power of two; the default [1] keeps the
     single-lock, single-LRU behavior of a private cache. A server
-    passes its worker count (or more) so probes spread over
+    passes a multiple of its worker count so probes spread over
     independently-locked shards. *)
-let create ?(capacity = 128) ?(shards = 1) () =
-  let capacity = max 1 capacity in
-  let n =
-    let rec np2 k = if k >= shards || k >= 256 then k else np2 (k * 2) in
-    np2 1
-  in
-  let shard_capacity = (capacity + n - 1) / n in
-  {
-    shards =
-      Array.init n (fun _ ->
-          {
-            mu = Mutex.create ();
-            tbl = Hashtbl.create (max 16 shard_capacity);
-            st = stats_create ();
-            clock = 0;
-            words = 0;
-            entries = 0;
-          });
-    smask = n - 1;
-    shard_capacity;
-    capacity;
-  }
-
-let shard_count t = Array.length t.shards
-let shard_of t (h : int) = Array.unsafe_get t.shards (h land t.smask)
-
-let with_shard t h f =
-  let s = shard_of t h in
-  Mutex.lock s.mu;
-  match f s with
-  | v ->
-      Mutex.unlock s.mu;
-      v
-  | exception e ->
-      Mutex.unlock s.mu;
-      raise e
+let create ?(capacity = 128) ?shards () : t =
+  Concur.Lru.create ?shards ~capacity ~stats:stats_create
+    ~on_evict:(fun () -> if !Mx.enabled then Mx.inc (Lazy.force m_evictions))
+    ()
 
 (** Point-in-time totals summed over the shards. The record is a fresh
     snapshot — re-call [stats] to observe later traffic. *)
-let stats t : stats =
-  let acc = stats_create () in
-  Array.iter
-    (fun s ->
-      Mutex.lock s.mu;
-      acc.hits <- acc.hits + s.st.hits;
-      acc.misses <- acc.misses + s.st.misses;
-      acc.evictions <- acc.evictions + s.st.evictions;
-      acc.invalidations <- acc.invalidations + s.st.invalidations;
-      acc.collisions <- acc.collisions + s.st.collisions;
-      Mutex.unlock s.mu)
-    t.shards;
+let stats (t : t) : stats =
+  let acc =
+    Concur.Lru.fold_stats t
+      (fun acc s ->
+        acc.hits <- acc.hits + s.hits;
+        acc.misses <- acc.misses + s.misses;
+        acc.invalidations <- acc.invalidations + s.invalidations;
+        acc.collisions <- acc.collisions + s.collisions;
+        acc)
+      (stats_create ())
+  in
+  acc.evictions <- Concur.Lru.evictions t;
   acc
 
-let memory_words t =
-  Array.fold_left
-    (fun n s ->
-      Mutex.lock s.mu;
-      let w = s.words in
-      Mutex.unlock s.mu;
-      n + w)
-    0 t.shards
+let memory_words (t : t) = Concur.Lru.fold t (fun n e -> n + e.e_words) 0
+let length (t : t) = Concur.Lru.length t
 
-let length t =
-  Array.fold_left
-    (fun n s ->
-      Mutex.lock s.mu;
-      let e = s.entries in
-      Mutex.unlock s.mu;
-      n + e)
-    0 t.shards
-
-let tick s =
-  s.clock <- s.clock + 1;
-  s.clock
-
-(** Probe for [key] under hash [h]. Counts a hit or a miss, bumps the
-    entry's LRU clock, and counts (but skips) colliding bucket
+(** Probe for [key] under hash [h]. Counts a hit or a miss, makes a hit
+    the most recently used, and counts (but skips) colliding bucket
     entries. *)
-let find t ~(h : int) ~(key : A.query) : entry option =
-  with_shard t h (fun s ->
-      let bucket =
-        match Hashtbl.find_opt s.tbl h with None -> [] | Some es -> es
-      in
+let find (t : t) ~(h : int) ~(key : A.query) : entry option =
+  Concur.Lru.find t h ~pick:(fun st bucket ->
       let rec scan = function
         | [] ->
-            s.st.misses <- s.st.misses + 1;
+            st.misses <- st.misses + 1;
             None
         | e :: rest ->
             if e.e_key = key then (
-              s.st.hits <- s.st.hits + 1;
-              e.e_last_used <- tick s;
+              st.hits <- st.hits + 1;
               Some e)
             else (
-              s.st.collisions <- s.st.collisions + 1;
+              st.collisions <- st.collisions + 1;
               scan rest)
       in
       scan bucket)
 
-(* caller holds [s.mu]. Accounting moves only when the entry is
-   actually found: a racing replace may have removed it already. *)
-let remove_entry_locked s ~(h : int) (e : entry) : unit =
-  match Hashtbl.find_opt s.tbl h with
-  | None -> ()
-  | Some es ->
-      let es' = List.filter (fun e' -> e' != e) es in
-      if List.compare_lengths es' es < 0 then begin
-        (match es' with
-        | [] -> Hashtbl.remove s.tbl h
-        | _ -> Hashtbl.replace s.tbl h es');
-        s.words <- s.words - e.e_words;
-        s.entries <- s.entries - 1
-      end
-
-(** Evict this shard's least-recently-used entry (linear scan — the
-    cache is bounded and small compared to the plans it holds). Caller
-    holds [s.mu]. *)
-let evict_lru_locked s : unit =
-  let victim =
-    Hashtbl.fold
-      (fun h es acc ->
-        List.fold_left
-          (fun acc e ->
-            match acc with
-            | Some (_, best) when best.e_last_used <= e.e_last_used -> acc
-            | _ -> Some (h, e))
-          acc es)
-      s.tbl None
-  in
-  match victim with
-  | None -> ()
-  | Some (h, e) ->
-      remove_entry_locked s ~h e;
-      s.st.evictions <- s.st.evictions + 1;
-      if !Mx.enabled then Mx.inc (Lazy.force m_evictions)
-
-(* caller holds [s.mu]. Dedupes against a racing insert of the same
-   key: the first store wins and later ones return its entry, so the
-   cache never holds two entries for one canonical query. *)
-let store_locked t s ~(h : int) ~(key : A.query) ~(ann : Planner.Annotation.t)
-    ~(binds : int) ~(tables : string list) ~(epochs : (string * int) list) :
-    entry =
-  let bucket =
-    match Hashtbl.find_opt s.tbl h with None -> [] | Some es -> es
-  in
-  match List.find_opt (fun e -> e.e_key = key) bucket with
-  | Some e ->
-      e.e_last_used <- tick s;
-      e
-  | None ->
-      while s.entries >= t.shard_capacity do
-        evict_lru_locked s
-      done;
+(** Insert a fresh entry, evicting down to capacity first. Returns the
+    stored entry — which is the {e winning} entry if another domain
+    raced the same key in first, so the cache never holds two entries
+    for one canonical query. [drop] is removed first (see {!replace}). *)
+let store ?drop (t : t) ~(h : int) ~(key : A.query)
+    ~(ann : Planner.Annotation.t) ~(binds : int) ~(tables : string list)
+    ~(epochs : (string * int) list) : entry =
+  Concur.Lru.find_or_add ?drop t h
+    ~pick:(fun _ -> List.find_opt (fun e -> e.e_key = key))
+    ~make:(fun () ->
       let e =
         {
           e_key = key;
@@ -255,46 +137,29 @@ let store_locked t s ~(h : int) ~(key : A.query) ~(ann : Planner.Annotation.t)
           e_binds = binds;
           e_tables = tables;
           e_epochs = epochs;
-          e_last_used = tick s;
           e_words = 0;
         }
       in
-      let e = { e with e_words = Obj.reachable_words (Obj.repr e) } in
-      (* re-read: eviction may have dropped the whole bucket *)
-      let bucket =
-        match Hashtbl.find_opt s.tbl h with None -> [] | Some es -> es
-      in
-      Hashtbl.replace s.tbl h (e :: bucket);
-      s.words <- s.words + e.e_words;
-      s.entries <- s.entries + 1;
-      e
-
-(** Insert a fresh entry, evicting this shard down to capacity first.
-    Returns the stored entry — which is the {e winning} entry if
-    another domain raced the same key in first. *)
-let store t ~(h : int) ~(key : A.query) ~(ann : Planner.Annotation.t)
-    ~(binds : int) ~(tables : string list) ~(epochs : (string * int) list) :
-    entry =
-  with_shard t h (fun s -> store_locked t s ~h ~key ~ann ~binds ~tables ~epochs)
+      { e with e_words = Obj.reachable_words (Obj.repr e) })
+    (fun _ e -> e)
 
 (** Replace [old_e] (same hash bucket) with a recompiled entry.
     Tolerates [old_e] having been evicted or replaced concurrently —
     the result is the entry now live for the key. *)
 let replace t ~(h : int) ~(old_e : entry) ~(ann : Planner.Annotation.t)
     ~(epochs : (string * int) list) : entry =
-  with_shard t h (fun s ->
-      remove_entry_locked s ~h old_e;
-      store_locked t s ~h ~key:old_e.e_key ~ann ~binds:old_e.e_binds
-        ~tables:old_e.e_tables ~epochs)
+  store ~drop:old_e t ~h ~key:old_e.e_key ~ann ~binds:old_e.e_binds
+    ~tables:old_e.e_tables ~epochs
 
-let count_invalidation t ~(h : int) =
-  with_shard t h (fun s -> s.st.invalidations <- s.st.invalidations + 1)
+let count_invalidation (t : t) ~(h : int) =
+  Concur.Lru.with_stats t h (fun s -> s.invalidations <- s.invalidations + 1)
 
 (** Refresh a revalidated entry's epoch snapshot under its shard lock,
     so a concurrent reader never observes a half-published snapshot
     list. *)
-let refresh_epochs t ~(h : int) (e : entry) ~(epochs : (string * int) list) =
-  with_shard t h (fun _ -> e.e_epochs <- epochs)
+let refresh_epochs (t : t) ~(h : int) (e : entry)
+    ~(epochs : (string * int) list) =
+  Concur.Lru.with_stats t h (fun _ -> e.e_epochs <- epochs)
 
 (** Push the footprint gauges to the registry (report-time; the
     hot path never pays the shard sweep). *)
@@ -314,15 +179,3 @@ let hit_rate t =
   let st = stats t in
   let total = st.hits + st.misses in
   if total = 0 then 0. else float_of_int st.hits /. float_of_int total
-
-let pp_stats ppf t =
-  let st = stats t in
-  let total = st.hits + st.misses in
-  let rate =
-    if total = 0 then 0. else float_of_int st.hits /. float_of_int total
-  in
-  Fmt.pf ppf
-    "entries %d, hits %d, misses %d (hit rate %.2f), evictions %d, \
-     invalidations %d, collisions %d, ~%d words"
-    (length t) st.hits st.misses rate st.evictions st.invalidations
-    st.collisions (memory_words t)

@@ -11,7 +11,11 @@
       probe (Invalidated or, under the cost-delta guard, Revalidated).
 
     Unit tests cover [:n] bind parsing, the bind-count guard, LRU
-    eviction, IR015 (negative bind index) and TX001 (over-copying). *)
+    eviction, IR015 (negative bind index) and TX001 (over-copying).
+    The capacity tests drive the plan cache and the query store at
+    1 to 256 shards: a working set that fits never evicts, a larger
+    one never exceeds capacity (also under concurrent inserts), and
+    evictions = inserts - final length. *)
 
 module QG = Workload.Query_gen
 module SG = Workload.Schema_gen
@@ -376,6 +380,146 @@ let test_metrics_off () =
        (Mx.counter ~labels:[ ("outcome", "miss") ] Mx.default
           "svc_cache_outcomes_total"))
 
+(* ------------------------------------------------------------------ *)
+(* Capacity at every shard count                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The plan cache and the query store, each driven through [insert h]:
+   probe key [h] and insert it on a miss, [true] when it was inserted. *)
+type table = {
+  insert : int -> bool;
+  length : unit -> int;
+  evictions : unit -> int;
+}
+
+let cached_query = query_of (QG.C_spj, 1)
+
+let cached_ann =
+  lazy (D.optimize db.Storage.Db.cat cached_query).D.res_annotation
+
+let plan_cache_table ~shards ~capacity =
+  let c = Pc.create ~capacity ~shards () in
+  let key = cached_query and ann = Lazy.force cached_ann in
+  {
+    insert =
+      (fun h ->
+        match Pc.find c ~h ~key with
+        | Some _ -> false
+        | None ->
+            ignore (Pc.store c ~h ~key ~ann ~binds:0 ~tables:[] ~epochs:[]);
+            true);
+    length = (fun () -> Pc.length c);
+    evictions = (fun () -> (Pc.stats c).Pc.evictions);
+  }
+
+let query_store_table ~shards ~capacity =
+  let s = Qs.create ~capacity ~shards () in
+  {
+    insert =
+      (fun h ->
+        let e =
+          Qs.observe s ~fp:h
+            ~text:(fun () -> string_of_int h)
+            ~outcome:"miss" ~rows:0 ~exec_s:0. ~parse_s:0. ~meter_names:[||]
+            ~meter:[||] ~vec_pipelines:0 ~row_pipelines:0
+        in
+        e.Qs.qe_execs = 1);
+    length = (fun () -> Qs.length s);
+    evictions = (fun () -> Qs.evictions s);
+  }
+
+let shard_counts = [ 1; 2; 8; 64; 256 ]
+let capacity = 128
+
+(* [n] distinct random 60-bit hashes: shards fill unevenly *)
+let random_hashes seed n =
+  let st = Random.State.make [| seed |] in
+  let seen = Hashtbl.create n in
+  let rec draw acc k =
+    if k = 0 then acc
+    else
+      let h = Random.State.bits st lor (Random.State.bits st lsl 30) in
+      if Hashtbl.mem seen h then draw acc k
+      else (
+        Hashtbl.add seen h ();
+        draw (h :: acc) (k - 1))
+  in
+  draw [] n
+
+(* At every shard count: a working set of [capacity] keys, run for
+   repeated passes, never evicts; a larger one never holds more than
+   [capacity] entries; and evictions = inserts - final length. *)
+let prop_capacity name make =
+  QCheck.Test.make ~count:5
+    ~name:(name ^ " honours its capacity at every shard count")
+    QCheck.(make ~print:string_of_int Gen.(int_bound 100000))
+    (fun seed ->
+      List.iter
+        (fun shards ->
+          let t = make ~shards ~capacity in
+          let fits = random_hashes seed capacity in
+          for _ = 1 to 10 do
+            List.iter (fun h -> ignore (t.insert h)) fits
+          done;
+          if t.evictions () <> 0 || t.length () <> capacity then
+            QCheck.Test.fail_reportf
+              "%d shards: fitting working set evicted %d (length %d)" shards
+              (t.evictions ()) (t.length ());
+          let t = make ~shards ~capacity in
+          let inserts = ref 0 in
+          for _ = 1 to 10 do
+            List.iter
+              (fun h ->
+                if t.insert h then incr inserts;
+                if t.length () > capacity then
+                  QCheck.Test.fail_reportf "%d shards: %d entries > capacity %d"
+                    shards (t.length ()) capacity)
+              (random_hashes seed (capacity * 3 / 2))
+          done;
+          if t.evictions () <> !inserts - t.length () then
+            QCheck.Test.fail_reportf
+              "%d shards: evictions %d <> inserts %d - length %d" shards
+              (t.evictions ()) !inserts (t.length ()))
+        shard_counts;
+      true)
+
+let prop_plan_cache_capacity = prop_capacity "plan cache" plan_cache_table
+let prop_query_store_capacity = prop_capacity "query store" query_store_table
+
+(* 4 domains insert distinct keys at once: the bound and the eviction
+   count still hold exactly *)
+let test_concurrent_capacity () =
+  ignore (Lazy.force cached_ann);
+  List.iter
+    (fun (name, make) ->
+      List.iter
+        (fun shards ->
+          let capacity = 48 and domains = 4 and per_domain = 300 in
+          let t = make ~shards ~capacity in
+          let over = Atomic.make 0 in
+          let ds =
+            List.init domains (fun d ->
+                let hs = random_hashes (1000 + d) per_domain in
+                Domain.spawn (fun () ->
+                    List.iter
+                      (fun h ->
+                        ignore (t.insert h);
+                        if t.length () > capacity then Atomic.incr over)
+                      hs))
+          in
+          List.iter Domain.join ds;
+          let label = Printf.sprintf "%s, %d shards" name shards in
+          Alcotest.(check int) (label ^ ": never over capacity") 0
+            (Atomic.get over);
+          Alcotest.(check int) (label ^ ": full at the end") capacity
+            (t.length ());
+          Alcotest.(check int)
+            (label ^ ": evictions = inserts - length")
+            ((domains * per_domain) - capacity)
+            (t.evictions ()))
+        [ 1; 8; 64 ])
+    [ ("plan cache", plan_cache_table); ("query store", query_store_table) ]
+
 let () =
   let to_alco = QCheck_alcotest.to_alcotest in
   Alcotest.run "service"
@@ -398,6 +542,13 @@ let () =
           Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
           Alcotest.test_case "memory accounting" `Quick
             test_memory_accounting;
+        ] );
+      ( "capacity",
+        [
+          to_alco prop_plan_cache_capacity;
+          to_alco prop_query_store_capacity;
+          Alcotest.test_case "concurrent inserts" `Quick
+            test_concurrent_capacity;
         ] );
       ( "analysis",
         [
