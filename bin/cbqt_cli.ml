@@ -553,26 +553,28 @@ let serve_cmd =
       Fmt.epr "serve: no statements@.";
       exit 2);
     (* parse up front (and filter each statement's binds to the markers
-       it references) so a malformed file fails before any domain spawns *)
+       it references) so a malformed file fails before any domain spawns.
+       Text still goes to the workers as text, so each execution takes
+       Service.exec's path and is timed in svc_sqlparse_seconds. *)
     let items =
       List.map
         (fun stmt ->
-          let q =
+          let q, submitted =
             match stmt with
             | `Sql sql -> (
                 match Sqlparse.Parser.parse db.Storage.Db.cat sql with
-                | Ok q -> q
+                | Ok q -> (q, Sv.Sql sql)
                 | Error msg ->
                     Fmt.epr "serve: parse error: %s@." msg;
                     exit 1)
-            | `Ir q -> q
+            | `Ir q -> (q, Sv.Ir q)
           in
           let need = Sqlir.Fingerprint.binds_count q in
           if List.length bvs < need then (
             Fmt.epr "serve: statement references %d bind(s), %d given@." need
               (List.length bvs);
             exit 1);
-          (Sv.Ir q, List.filteri (fun i _ -> i < need) bvs))
+          (submitted, List.filteri (fun i _ -> i < need) bvs))
         stmts
     in
     let config =

@@ -3,7 +3,11 @@
     Produces a token list for the recursive-descent {!Parser}. Keywords
     are case-insensitive; identifiers are lower-cased (the IR uses
     lower-case names throughout). String literals use single quotes with
-    [''] escaping, Oracle style. *)
+    [''] escaping, Oracle style.
+
+    Each word is lower-cased once and looked up in one hashed keyword
+    table. The lexer keeps no state between calls, so domains may
+    tokenize concurrently. *)
 
 type token =
   | IDENT of string
@@ -40,7 +44,18 @@ let keywords =
     "PARTITION"; "ROWNUM"; "TRUE"; "FALSE"; "DATE"; "CROSS"; "SEMI"; "ANTI";
   ]
 
-let is_keyword s = List.mem (String.uppercase_ascii s) keywords
+module Kw_table = Hashtbl.Make (String)
+
+(* lower-case spelling -> the shared upper-case keyword string. Filled
+   here, at module initialisation, and only read afterwards, so every
+   domain may read it without a lock (no [Lazy]: racing forces raise
+   [Lazy.Undefined]). *)
+let keyword_table : string Kw_table.t =
+  let t = Kw_table.create 64 in
+  List.iter (fun k -> Kw_table.replace t (String.lowercase_ascii k) k) keywords;
+  t
+
+let is_keyword s = Kw_table.mem keyword_table (String.lowercase_ascii s)
 
 let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
 let is_ident_char c = is_ident_start c || (c >= '0' && c <= '9') || c = '$'
@@ -50,6 +65,11 @@ let tokenize (src : string) : (token * int) list =
   let n = String.length src in
   let toks = ref [] in
   let emit t pos = toks := (t, pos) :: !toks in
+  let int_at i j pos =
+    match int_of_string_opt (String.sub src i (j - i)) with
+    | Some v -> v
+    | None -> raise (Lex_error ("number out of range", pos))
+  in
   let i = ref 0 in
   while !i < n do
     let c = src.[!i] in
@@ -71,16 +91,18 @@ let tokenize (src : string) : (token * int) list =
           incr j
         done;
         emit (FLOAT (float_of_string (String.sub src !i (!j - !i)))) pos)
-      else emit (INT (int_of_string (String.sub src !i (!j - !i)))) pos;
+      else emit (INT (int_at !i !j pos)) pos;
       i := !j)
     else if is_ident_start c then (
       let j = ref !i in
       while !j < n && is_ident_char src.[!j] do
         incr j
       done;
-      let word = String.sub src !i (!j - !i) in
-      if is_keyword word then emit (KW (String.uppercase_ascii word)) pos
-      else emit (IDENT (String.lowercase_ascii word)) pos;
+      let start = !i in
+      let word = String.init (!j - start) (fun k -> Char.lowercase_ascii src.[start + k]) in
+      (match Kw_table.find_opt keyword_table word with
+      | Some kw -> emit (KW kw) pos
+      | None -> emit (IDENT word) pos);
       i := !j)
     else if c = '\'' then (
       let buf = Buffer.create 16 in
@@ -102,15 +124,15 @@ let tokenize (src : string) : (token * int) list =
       emit (STRING (Buffer.contents buf)) pos;
       i := !j)
     else (
-      let two = if !i + 1 < n then String.sub src !i 2 else "" in
-      match two with
-      | "<>" | "!=" ->
+      let next = if !i + 1 < n then src.[!i + 1] else ' ' in
+      match (c, next) with
+      | '<', '>' | '!', '=' ->
           emit NE pos;
           i := !i + 2
-      | "<=" ->
+      | '<', '=' ->
           emit LE pos;
           i := !i + 2
-      | ">=" ->
+      | '>', '=' ->
           emit GE pos;
           i := !i + 2
       | _ -> (
@@ -134,7 +156,7 @@ let tokenize (src : string) : (token * int) list =
               done;
               if !j = !i then
                 raise (Lex_error ("expected bind position after ':'", pos));
-              emit (BIND (int_of_string (String.sub src !i (!j - !i)))) pos;
+              emit (BIND (int_at !i !j pos)) pos;
               i := !j
           | c -> raise (Lex_error (Printf.sprintf "unexpected character %c" c, pos))))
   done;

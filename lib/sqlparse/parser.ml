@@ -33,6 +33,11 @@ type state = {
   mutable scopes : scope_entry list list;  (** innermost first *)
   used : (string, unit) Hashtbl.t;  (** aliases used so far, statement-wide *)
   mutable qb_counter : int;
+  mutable pending_on : A.pred list;
+      (** inner-join ON conjuncts of the block being parsed: they are
+          hoisted into its WHERE clause, so [parse_from] accumulates
+          them here for [parse_block] to collect. Per parse, so
+          domains may parse concurrently. *)
 }
 
 let fail st msg =
@@ -120,10 +125,6 @@ let resolve_unqualified st col =
 (* ------------------------------------------------------------------ *)
 (* Expressions                                                          *)
 (* ------------------------------------------------------------------ *)
-
-(* inner-join ON conjuncts are hoisted into the enclosing block's WHERE
-   clause; parse_from accumulates them here for parse_block to collect *)
-let pending_on : A.pred list ref = ref []
 
 let agg_of_kw = function
   | "COUNT" -> Some A.Count
@@ -583,7 +584,7 @@ and parse_from st : A.from_entry list =
         | A.J_inner ->
             (* inner-join ON conditions go to WHERE; record for caller *)
             items := { fe with A.fe_kind = A.J_inner } :: !items;
-            pending_on := A.conjuncts cond @ !pending_on
+            st.pending_on <- A.conjuncts cond @ st.pending_on
         | k -> items := { fe with A.fe_kind = k; fe_cond = A.conjuncts cond } :: !items)
     | _ -> continue := false
   done;
@@ -614,11 +615,11 @@ and parse_block st : A.block =
   let sel_end = st.pos in
   expect_kw st "FROM";
   st.scopes <- [] :: st.scopes;
-  let saved_pending = !pending_on in
-  pending_on := [];
+  let saved_pending = st.pending_on in
+  st.pending_on <- [];
   let from = parse_from st in
-  let on_conds = !pending_on in
-  pending_on := saved_pending;
+  let on_conds = st.pending_on in
+  st.pending_on <- saved_pending;
   (* now parse the deferred select list *)
   let after_from = st.pos in
   st.pos <- sel_start;
@@ -806,6 +807,7 @@ let parse_exn (cat : Catalog.t) (sql : string) : A.query =
       scopes = [];
       used = Hashtbl.create 16;
       qb_counter = 0;
+      pending_on = [];
     }
   in
   let q = parse_query st in

@@ -166,6 +166,169 @@ let test_parse_errors () =
   bad "SELECT e.name FROM employees e ORDER";
   bad "SELECT e.name employees e"
 
+let test_out_of_range_literals () =
+  let db = Lazy.force db in
+  List.iter
+    (fun sql ->
+      match Sqlparse.Parser.parse db.Storage.Db.cat sql with
+      | Ok _ -> Alcotest.failf "expected parse error for %s" sql
+      | Error _ -> ())
+    [
+      "SELECT e.name FROM employees e WHERE e.emp_id = 99999999999999999999";
+      "SELECT e.name FROM employees e WHERE e.emp_id = :99999999999999999999";
+    ]
+
+(* ------------------------------------------------------------------ *)
+(* Lexer                                                                *)
+(* ------------------------------------------------------------------ *)
+
+module L = Sqlparse.Lexer
+
+let lex_one s =
+  match L.tokenize s with
+  | [ (t, 0); (L.EOF, _) ] -> t
+  | _ -> Alcotest.failf "%S does not lex to one token" s
+
+let test_keywords_any_case () =
+  let mixed k =
+    String.mapi (fun i c -> if i mod 2 = 0 then c else Char.lowercase_ascii c) k
+  in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun spelling ->
+          match lex_one spelling with
+          | L.KW k' when String.equal k k' -> ()
+          | t -> Alcotest.failf "%S lexed to %s, not %s" spelling (L.token_str t) k)
+        [ String.lowercase_ascii k; k; mixed k ];
+      Alcotest.(check bool) (k ^ " is a keyword") true (L.is_keyword (mixed k)))
+    L.keywords
+
+let test_keyword_lookalikes () =
+  List.iter
+    (fun w ->
+      match lex_one w with
+      | L.IDENT s ->
+          Alcotest.(check string) w (String.lowercase_ascii w) s;
+          Alcotest.(check bool) (w ^ " is not a keyword") false (L.is_keyword w)
+      | t -> Alcotest.failf "%S lexed to %s, not an identifier" w (L.token_str t))
+    [ "selected"; "order_no"; "date_c"; "_from"; "in$1"; "SELECTED"; "Order_No" ]
+
+let test_operators () =
+  Alcotest.(check (list string)) "operators"
+    [ "<>"; "<>"; "<="; ">="; "<"; ">"; "="; "-"; ":3"; "<eof>" ]
+    (List.map
+       (fun (t, _) -> L.token_str t)
+       (L.tokenize "<> != <= >= < > = - :3 -- a comment"))
+
+(* Random streams over the token alphabet, some of them close to valid
+   SQL: parsing must answer Ok or Error, never raise. *)
+let fuzz_parse =
+  let open QCheck.Gen in
+  let random_case =
+    map2
+      (fun k bits ->
+        String.mapi
+          (fun i c ->
+            if (bits lsr (i mod 30)) land 1 = 1 then Char.lowercase_ascii c else c)
+          k)
+      (oneofl L.keywords) (int_bound (1 lsl 30 - 1))
+  in
+  let ident =
+    oneofl
+      [
+        "e"; "d"; "l"; "j"; "employees"; "departments"; "locations";
+        "job_history"; "name"; "salary"; "dept_id"; "emp_id"; "job_id";
+        "loc_id"; "city"; "country_id"; "start_date"; "dept_name"; "x";
+        "_a$1"; "selected"; "e.salary"; "d.dept_id"; "e.dept_id";
+      ]
+  in
+  let literal =
+    oneof
+      [
+        map string_of_int small_nat;
+        oneofl
+          [ "3.25"; "'US'"; "'it''s'"; "99999999999999999999"; "0"; "'"; "1." ];
+      ]
+  in
+  let operator =
+    oneofl
+      [
+        "("; ")"; ","; "."; "*"; "+"; "-"; "/"; "="; "<>"; "!="; "<"; "<=";
+        ">"; ">="; "!"; "?";
+      ]
+  in
+  let bind =
+    oneof
+      [
+        map (fun n -> ":" ^ string_of_int n) (int_bound 4);
+        oneofl [ ":"; ":99999999999999999999" ];
+      ]
+  in
+  let clause =
+    oneofl
+      [
+        "SELECT e.name FROM employees e"; "FROM employees e";
+        "JOIN departments d ON e.dept_id = d.dept_id"; "WHERE";
+        "LEFT OUTER JOIN locations l ON"; "GROUP BY"; "ORDER BY";
+        "(SELECT d.dept_id FROM departments d)"; "COUNT(*)"; "ROWNUM <=";
+      ]
+  in
+  let fragment =
+    frequency
+      [
+        (3, random_case); (3, ident); (2, literal); (3, operator); (1, bind);
+        (2, clause);
+      ]
+  in
+  let stmt =
+    map2
+      (fun lead frags -> String.concat " " (lead @ frags))
+      (oneofl [ []; [ "SELECT" ]; [ "SELECT e.name FROM employees e WHERE" ] ])
+      (list_size (int_range 0 30) fragment)
+  in
+  QCheck.Test.make ~count:3000 ~name:"parse returns Ok or Error, never raises"
+    (QCheck.make ~print:Fun.id stmt)
+    (fun sql ->
+      let db = Lazy.force db in
+      match Sqlparse.Parser.parse db.Storage.Db.cat sql with
+      | Ok _ | Error _ -> true)
+
+(* Two domains parsing different JOIN … ON statements at once must each
+   get the tree a lone parse gives: no parse state is shared. *)
+let test_concurrent_join_on () =
+  let db = Lazy.force db in
+  let cat = db.Storage.Db.cat in
+  let sqls =
+    [|
+      "SELECT e.name, d.dept_name, l.city FROM employees e JOIN departments \
+       d ON e.dept_id = d.dept_id JOIN locations l ON d.loc_id = l.loc_id \
+       JOIN job_history j ON j.emp_id = e.emp_id WHERE e.salary > 5000";
+      "SELECT d.dept_name, l.city FROM departments d INNER JOIN locations l \
+       ON d.loc_id = l.loc_id AND l.country_id = 'US' WHERE d.dept_id > 10 \
+       AND EXISTS (SELECT 1 one FROM employees e JOIN job_history j ON \
+       j.emp_id = e.emp_id WHERE e.dept_id = d.dept_id)";
+    |]
+  in
+  let expected = Array.map (Sqlparse.Parser.parse_exn cat) sqls in
+  let rounds = 20_000 in
+  let worker i () =
+    let bad = ref 0 in
+    for _ = 1 to rounds do
+      let q = Sqlparse.Parser.parse_exn cat sqls.(i) in
+      if not (Fingerprint.equal ~mode:Fingerprint.With_peeks q expected.(i))
+      then incr bad
+    done;
+    !bad
+  in
+  let ds = Array.init 2 (fun i -> Domain.spawn (worker i)) in
+  Array.iteri
+    (fun i d ->
+      Alcotest.(check int)
+        (Printf.sprintf "statement %d trees differing from a lone parse" i)
+        0 (Domain.join d))
+    ds
+
 let test_pretty_print_reparse () =
   (* print ∘ parse is stable: the printed tree re-parses to an
      equivalent query (same reference results) *)
@@ -202,6 +365,16 @@ let () =
           Alcotest.test_case "rownum" `Quick test_rownum;
           Alcotest.test_case "case/in/between" `Quick test_case_in_list_between;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "out-of-range literals" `Quick
+            test_out_of_range_literals;
+          Alcotest.test_case "concurrent JOIN ON" `Quick test_concurrent_join_on;
+        ] );
+      ( "lexer",
+        [
+          Alcotest.test_case "keywords in any case" `Quick test_keywords_any_case;
+          Alcotest.test_case "keyword lookalikes" `Quick test_keyword_lookalikes;
+          Alcotest.test_case "operators" `Quick test_operators;
+          QCheck_alcotest.to_alcotest fuzz_parse;
         ] );
       ( "paper queries",
         [

@@ -367,6 +367,24 @@ let test_registry_wiring () =
     (float_of_int r.Svc.sv_entries)
     (Mx.gauge_value (Mx.gauge Mx.default "plan_cache_entries"))
 
+let test_sqlparse_histogram () =
+  let sqlparse () =
+    Mx.hist_count (Mx.histogram Mx.default "svc_sqlparse_seconds")
+  in
+  let sql = "SELECT e.name FROM employees e WHERE e.salary > :1" in
+  Mx.reset Mx.default;
+  let svc = Svc.create hr in
+  List.iter (fun b -> ignore (exec_hr svc sql [ b ])) [ 9000; 0; 5000 ];
+  Alcotest.(check int) "one text parse observed per exec" 3 (sqlparse ());
+  (* exec_ir starts from a parsed query: nothing to observe *)
+  let q = Sqlparse.Parser.parse_exn hr.Storage.Db.cat sql in
+  ignore (Svc.exec_ir svc q [ V.Int 1 ]);
+  Alcotest.(check int) "exec_ir observes no text parse" 3 (sqlparse ());
+  Mx.reset Mx.default;
+  let off = Svc.create ~config:{ Svc.default_config with Svc.metrics = false } hr in
+  ignore (exec_hr off sql [ 1 ]);
+  Alcotest.(check int) "nothing observed with metrics off" 0 (sqlparse ())
+
 let test_metrics_off () =
   Mx.reset Mx.default;
   let config = { Svc.default_config with Svc.metrics = false } in
@@ -567,5 +585,6 @@ let () =
             test_query_store_bounded;
           Alcotest.test_case "registry wiring" `Quick test_registry_wiring;
           Alcotest.test_case "metrics off" `Quick test_metrics_off;
+          Alcotest.test_case "sqlparse histogram" `Quick test_sqlparse_histogram;
         ] );
     ]
