@@ -103,6 +103,20 @@ let report_ir_findings cat q : int =
   List.iter (fun d -> Fmt.epr "%s@." (Analysis.Diagnostics.to_string d)) ds;
   List.length (Analysis.Diagnostics.errors ds)
 
+(** [q] optimized under [mode] (the driver's result, [None] for mode
+    none) and the executable a plan-cache entry at [dop] derives. *)
+let compile ~check ~dop mode (cat : Catalog.t) q =
+  let res, ann =
+    match config_of_mode ~check mode with
+    | Some config ->
+        let res = Cbqt.Driver.optimize ~config cat q in
+        (Some res, res.Cbqt.Driver.res_annotation)
+    | None ->
+        if check then ignore (report_ir_findings cat q);
+        (None, Planner.Optimizer.optimize (Planner.Optimizer.create cat) q)
+  in
+  (res, ann, Service.Plan_cache.derive cat ~dop ann.Planner.Annotation.an_plan)
+
 let with_query sql f =
   let db = demo_db () in
   match Sqlparse.Parser.parse db.Storage.Db.cat sql with
@@ -126,39 +140,25 @@ let explain_cmd =
   in
   let run sql mode check no_exec engine dop =
     with_query sql (fun db q ->
-        let plan =
-          match config_of_mode ~check mode with
-          | Some config ->
-              let res = Cbqt.Driver.optimize ~config db.Storage.Db.cat q in
-              Fmt.pr "-- transformed query tree --@.%s@.@."
-                (Sqlir.Pp.query_to_string res.Cbqt.Driver.res_query);
-              Fmt.pr "-- transformation report --@.%a@." Cbqt.Driver.pp_report
-                res.res_report;
-              Fmt.pr "-- physical plan (cost %.1f, est. rows %.1f) --@.%s@."
-                res.res_annotation.Planner.Annotation.an_cost
-                res.res_annotation.an_rows
-                (Exec.Plan.to_string res.res_annotation.an_plan);
-              res.res_annotation.an_plan
-          | None ->
-              if check then
-                ignore (report_ir_findings db.Storage.Db.cat q);
-              let opt = Planner.Optimizer.create db.Storage.Db.cat in
-              let ann = Planner.Optimizer.optimize opt q in
-              Fmt.pr "-- physical plan (no transformation; cost %.1f) --@.%s@."
-                ann.Planner.Annotation.an_cost
-                (Exec.Plan.to_string ann.an_plan);
-              ann.an_plan
-        in
-        let plan =
-          let p = Planner.Parallel.apply db.Storage.Db.cat ~dop plan in
-          if p != plan then
-            Fmt.pr "@.-- parallel plan (dop %s) --@.%s@."
-              (Planner.Parallel.dop_to_string dop)
-              (Exec.Plan.to_string p);
-          p
-        in
+        let res, ann, x = compile ~check ~dop mode db.Storage.Db.cat q in
+        let plan = ann.Planner.Annotation.an_plan in
+        (match res with
+        | Some res ->
+            Fmt.pr "-- transformed query tree --@.%s@.@."
+              (Sqlir.Pp.query_to_string res.Cbqt.Driver.res_query);
+            Fmt.pr "-- transformation report --@.%a@." Cbqt.Driver.pp_report
+              res.res_report;
+            Fmt.pr "-- physical plan (cost %.1f, est. rows %.1f) --@.%s@."
+              ann.an_cost ann.an_rows (Exec.Plan.to_string plan)
+        | None ->
+            Fmt.pr "-- physical plan (no transformation; cost %.1f) --@.%s@."
+              ann.an_cost (Exec.Plan.to_string plan));
+        if x.x_plan != plan then
+          Fmt.pr "@.-- parallel plan (dop %s) --@.%s@."
+            (Planner.Parallel.dop_to_string dop)
+            (Exec.Plan.to_string x.x_plan);
         if not no_exec then (
-          let ex = Cbqt.Explain.analyze ~engine db plan in
+          let ex = Cbqt.Explain.analyze ~engine db x.x_plan in
           Fmt.pr "@.-- explain analyze --@.%a" Cbqt.Explain.pp ex);
         0)
   in
@@ -368,25 +368,12 @@ let run_cmd =
   in
   let run sql mode limit batch_size check engine dop =
     with_query sql (fun db q ->
-        let plan =
-          match config_of_mode ~check mode with
-          | Some config ->
-              (Cbqt.Driver.optimize ~config db.Storage.Db.cat q)
-                .res_annotation
-                .an_plan
-          | None ->
-              (Planner.Optimizer.optimize
-                 (Planner.Optimizer.create db.Storage.Db.cat)
-                 q)
-                .an_plan
-        in
-        let plan = Planner.Parallel.apply db.Storage.Db.cat ~dop plan in
+        let _, _, x = compile ~check ~dop mode db.Storage.Db.cat q in
         let meter = Exec.Meter.create () in
-        let card_of = Planner.Plan_est.pipeline_hints db.Storage.Db.cat plan in
         let es = Exec.Executor.engine_stats_create () in
         let _, rows, _ =
           Exec.Executor.execute ~meter ~batch_size ~engine ~engine_stats:es
-            ~card_of db plan
+            ~card_of:x.x_est db x.x_plan
         in
         List.iteri
           (fun i row ->

@@ -169,17 +169,8 @@ type node_stat = {
   mutable ns_sel_in : int;
 }
 
-(* plan nodes keyed by physical identity: annotation reuse can share
-   subtrees, and a shared node must accumulate into one stat record *)
-module Ptbl = Hashtbl.Make (struct
-  type t = Plan.t
-
-  let equal = ( == )
-  let hash = Hashtbl.hash
-end)
-
-let node_stat_of (tbl : node_stat Ptbl.t) (p : Plan.t) : node_stat =
-  match Ptbl.find_opt tbl p with
+let node_stat_of (tbl : node_stat Plan.Ptbl.t) (p : Plan.t) : node_stat =
+  match Plan.Ptbl.find_opt tbl p with
   | Some st -> st
   | None ->
       let st =
@@ -191,7 +182,7 @@ let node_stat_of (tbl : node_stat Ptbl.t) (p : Plan.t) : node_stat =
           ns_sel_in = 0;
         }
       in
-      Ptbl.add tbl p st;
+      Plan.Ptbl.add tbl p st;
       st
 
 (* ------------------------------------------------------------------ *)
@@ -201,7 +192,7 @@ let node_stat_of (tbl : node_stat Ptbl.t) (p : Plan.t) : node_stat =
 type ctx = {
   db : Db.t;
   meter : Meter.t;
-  analyze : node_stat Ptbl.t option;
+  analyze : node_stat Plan.Ptbl.t option;
   binds : Value.t array;  (** values for the plan's [Bind] markers *)
   size : int;  (** batch capacity, rows per block / vector segment *)
   engine : engine;

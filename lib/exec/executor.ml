@@ -86,8 +86,6 @@ type node_stat = Cursor.node_stat = {
   mutable ns_sel_in : int;
 }
 
-module Ptbl = Cursor.Ptbl
-
 exception Runtime_error of string
 
 (* Hash table over value-list keys with the same equality as {!Vkey}
@@ -1803,32 +1801,20 @@ and prepare_exchange ctx scopes child dop =
                      table))
           scans
       in
-      (* freeze the planner's cardinality hints for the subtree before
-         any domain is spawned: the hint source may memoize internally
-         and must not be raced *)
-      let frozen = Ptbl.create 32 in
-      let rec freeze p =
-        if not (Ptbl.mem frozen p) then begin
-          Ptbl.replace frozen p (ctx.card_of p);
-          List.iter freeze (Plan.children p)
-        end
-      in
-      freeze child;
-      let fcard p = Option.join (Ptbl.find_opt frozen p) in
       let binds = ctx.binds in
       let run_task orows t =
         let m = Meter.create () in
         let tbl =
           match ctx.analyze with
           | None -> None
-          | Some _ -> Some (Ptbl.create 16)
+          | Some _ -> Some (Plan.Ptbl.create 16)
         in
         let tctx =
           {
             ctx with
             meter = m;
             analyze = tbl;
-            card_of = fcard;
+            (* the Row engine never consults [card_of] *)
             engine = Row;
             estats = None;
             restrict = Some t;
@@ -1865,7 +1851,7 @@ and prepare_exchange ctx scopes child dop =
               Meter.add ctx.meter m;
               (match (ctx.analyze, tbl) with
               | Some main, Some sub ->
-                  Ptbl.iter
+                  Plan.Ptbl.iter
                     (fun node st ->
                       let dst = node_stat_of main node in
                       dst.ns_calls <- dst.ns_calls + st.ns_calls;
@@ -2025,7 +2011,7 @@ let execute_analyzed ?meter ?(binds = [||])
     (plan : Plan.t) :
     layout * row list * Meter.t * (Plan.t -> node_stat option) =
   let meter = match meter with Some m -> m | None -> Meter.create () in
-  let tbl = Ptbl.create 64 in
+  let tbl = Plan.Ptbl.create 64 in
   let ctx =
     {
       db;
@@ -2041,7 +2027,7 @@ let execute_analyzed ?meter ?(binds = [||])
     }
   in
   let rows = run_root ctx plan in
-  (Plan.layout plan db.Db.cat, rows, meter, fun p -> Ptbl.find_opt tbl p)
+  (Plan.layout plan db.Db.cat, rows, meter, fun p -> Plan.Ptbl.find_opt tbl p)
 
 (** Multiset equality of result sets, used by the equivalence tests:
     transformations must preserve the bag of result rows (row order is

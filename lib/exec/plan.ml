@@ -132,6 +132,15 @@ and subq_pred =
       (** NOT IN uses null-aware (ALL) semantics *)
   | SP_cmp of { op : Ast.cmp; lhs : Ast.expr; quant : Ast.quant option; plan : t }
 
+(** Tables keyed by a plan node's physical identity: annotation reuse
+    can share subtrees, and a shared node is one key. *)
+module Ptbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
+
 (** Column names of a {!Partial_agg}'s accumulator-state output, after
     the group keys: one column per aggregate, except [Avg] which
     decomposes into a running sum and a non-null count (recombined by

@@ -21,16 +21,18 @@
     - {b Shared plan cache and query store}: all workers' services are
       created over one {!Service.Plan_cache} and {!Obs.Query_store},
       so a hard parse by any worker is a soft parse for every other —
-      the whole point of the shared server. Both are sharded
+      the whole point of the shared server. A cache entry holds its
+      plan's executable, derived at [svc.dop], so every worker runs the
+      same one. Both are sharded
       [4 x workers] ways to spread lock contention; their capacity
       bounds the whole table whatever the shard count. Catalog
       stats epochs publish through an atomic map
       ({!Catalog.epochs_snapshot}), so a stats refresh during traffic
       invalidates cleanly across workers.
     - {b Everything else is per-worker}: each worker owns exactly one
-      service, whose parse counters, hint memos and meter accumulators
-      stay single-domain. Pool-level reporting merges the per-worker
-      reports and snapshots the shared cache once.
+      service, whose parse counters, engine stats and meter
+      accumulators stay single-domain. Pool-level reporting merges the
+      per-worker reports and snapshots the shared cache once.
 
     Before spawning, {!create} calls {!Service.prewarm}: the service
     layer caches its registry handles in [lazy] cells, and concurrent
@@ -230,7 +232,10 @@ let create ?(config = default_config) (db : Db.t) : t =
      domain can race a suspension *)
   Svc.prewarm ();
   let shards = 4 * config.workers in
-  let cache = Pc.create ~capacity:config.svc.Svc.capacity ~shards () in
+  let cache =
+    Pc.create ~capacity:config.svc.Svc.capacity ~shards ~dop:config.svc.Svc.dop
+      db.Db.cat
+  in
   let store = Qs.create ~capacity:config.svc.Svc.store_capacity ~shards () in
   let t =
     {

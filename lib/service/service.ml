@@ -21,8 +21,9 @@
       statistics moves the estimate by less than a threshold
       (refreshing the snapshot), avoiding plan churn on no-op stats
       refreshes;
-    + {b execute} the plan with the full bind vector (caller binds
-      followed by extracted literals) substituted at execution time.
+    + {b execute} the cache entry's executable ({!Plan_cache.exe}) with
+      the full bind vector (caller binds followed by extracted
+      literals) substituted at execution time.
 
     Every probe emits a [Cache] trace span carrying the outcome and
     parse timing, so a service trace validates and aggregates with the
@@ -58,12 +59,12 @@ type config = {
           and [Vector] force one path. Results and meter totals do not
           depend on it. *)
   dop : Planner.Parallel.dop;
-      (** degree-of-parallelism policy applied as a post-pass over
-          every cached plan: [Serial] leaves plans untouched, [Fixed n]
-          wraps eligible partition-local regions in exchanges at degree
-          [n], [Auto] sizes the degree from estimated scan volume and
-          the machine's core count. Results and meter totals do not
-          depend on it. *)
+      (** degree-of-parallelism policy of the default plan cache's
+          post-pass over every stored plan: [Serial] leaves plans
+          untouched, [Fixed n] wraps eligible partition-local regions in
+          exchanges at degree [n], [Auto] sizes the degree from
+          estimated scan volume and the machine's core count. Results
+          and meter totals do not depend on it. *)
   metrics : bool;
       (** publish phase timers / cache outcomes to the process-wide
           {!Obs.Metrics.default} registry and accumulate the
@@ -124,16 +125,6 @@ type t = {
   cfg : config;
   cache : Plan_cache.t;
   tracer : Tr.t;
-  hints : (Exec.Plan.t -> float option) Exec.Executor.Ptbl.t;
-      (** per-cached-plan cardinality hints for the hybrid engine
-          choice, memoized by plan physical identity so the estimator
-          runs once per plan rather than once per execution *)
-  par_plans : Exec.Plan.t Exec.Executor.Ptbl.t;
-      (** memo of the {!Planner.Parallel} post-pass, keyed by the
-          cached plan's physical identity — the rewrite runs once per
-          cached plan, and every execution of a shape sees the {e same}
-          rewritten plan object (which is also what keeps the hint memo
-          and analyze-mode node keys stable) *)
   estats : Exec.Executor.engine_stats;
       (** pipeline engine choices accumulated over every execution *)
   mutable soft_parses : int;
@@ -221,8 +212,10 @@ let prewarm () =
     config; a concurrent server passes one {e shared} sharded plan
     cache and query store to all of its per-worker services, which is
     the only sharing the service layer needs — everything else in [t]
-    (parse counters, hint memo, engine stats, meter accumulators) is
-    single-domain state owned by one worker. *)
+    (parse counters, engine stats, meter accumulators) is single-domain
+    state owned by one worker. Services sharing one cache share its
+    executables, so its degree of parallelism: [config.dop] sizes only
+    a default cache. *)
 let create ?(config = default_config) ?cache ?store (db : Db.t) : t =
   {
     db;
@@ -230,10 +223,10 @@ let create ?(config = default_config) ?cache ?store (db : Db.t) : t =
     cache =
       (match cache with
       | Some c -> c
-      | None -> Plan_cache.create ~capacity:config.capacity ());
+      | None ->
+          Plan_cache.create ~capacity:config.capacity ~dop:config.dop
+            db.Db.cat);
     tracer = Tr.create config.trace;
-    hints = Exec.Executor.Ptbl.create 64;
-    par_plans = Exec.Executor.Ptbl.create 64;
     estats = Exec.Executor.engine_stats_create ();
     soft_parses = 0;
     soft_s = 0.;
@@ -258,33 +251,15 @@ let metrics_on t = t.cfg.metrics && !Mx.enabled
 let engine_stats t = t.estats
 (** Pipeline engine choices accumulated over every execution. *)
 
-(** Cardinality hints of [plan], estimated once per distinct (cached)
-    plan. The memo table is bounded alongside the plan cache: when
-    cache churn lets it outgrow the cache by 4x, it is rebuilt from
-    scratch rather than tracking evictions entry by entry. *)
-let hints_of t (plan : Exec.Plan.t) : Exec.Plan.t -> float option =
-  match Exec.Executor.Ptbl.find_opt t.hints plan with
-  | Some h -> h
-  | None ->
-      if Exec.Executor.Ptbl.length t.hints > 4 * t.cfg.capacity then
-        Exec.Executor.Ptbl.reset t.hints;
-      let h = Planner.Plan_est.pipeline_hints t.db.Db.cat plan in
-      Exec.Executor.Ptbl.add t.hints plan h;
-      h
-
-(** The degree-of-parallelism post-pass over a cached plan, memoized by
-    plan identity (same bounding policy as the hint memo). *)
+(** The two halves of {!Plan_cache.derive}, computed afresh on each
+    call: the post-pass at the cache's degree, and the cardinality
+    hints of a post-pass plan. [exec_ir] runs the executable its cache
+    entry holds instead. *)
 let par_plan_of t (plan : Exec.Plan.t) : Exec.Plan.t =
-  if t.cfg.dop = Planner.Parallel.Serial then plan
-  else
-    match Exec.Executor.Ptbl.find_opt t.par_plans plan with
-    | Some p -> p
-    | None ->
-        if Exec.Executor.Ptbl.length t.par_plans > 4 * t.cfg.capacity then
-          Exec.Executor.Ptbl.reset t.par_plans;
-        let p = Planner.Parallel.apply t.db.Db.cat ~dop:t.cfg.dop plan in
-        Exec.Executor.Ptbl.add t.par_plans plan p;
-        p
+  Planner.Parallel.apply t.db.Db.cat ~dop:(Plan_cache.dop t.cache) plan
+
+let hints_of t (plan : Exec.Plan.t) : Exec.Plan.t -> float option =
+  Planner.Plan_est.pipeline_hints t.db.Db.cat plan
 
 (* both walk one consistent point-in-time view of the catalog's epoch
    map ([Catalog.epochs_snapshot] is the acquire side of the stats
@@ -304,11 +279,13 @@ let epochs_current t (snapshot : (string * int) list) : bool =
 let compile t (peeked : A.query) : D.result =
   D.optimize ~config:t.cfg.driver t.db.Db.cat peeked
 
-(** How {!resolve} answered a probe: the annotation plus everything the
-    query store wants to know about the parse. [rs_report] is the hard
-    parse's optimizer report, [None] on a soft parse. *)
+(** How {!resolve} answered a probe: the cache entry's annotation and
+    executable plus everything the query store wants to know about the
+    parse. [rs_report] is the hard parse's optimizer report, [None] on
+    a soft parse. *)
 type resolved = {
   rs_ann : Planner.Annotation.t;
+  rs_exe : Plan_cache.exe;
   rs_outcome : outcome;
   rs_parse_s : float;
   rs_fp : int;  (** Generic fingerprint hash *)
@@ -316,13 +293,13 @@ type resolved = {
   rs_report : D.report option;
 }
 
-(** Resolve [peeked] (parameterized query with peeks in place) to an
-    annotation, going through the cache. *)
+(** Resolve [peeked] (parameterized query with peeks in place) to a
+    cache entry. *)
 let resolve t (peeked : A.query) : resolved =
   let t0 = Unix.gettimeofday () in
   let key = Fp.canonical ~mode:Fp.Generic peeked in
   let h = Fp.hash ~mode:Fp.Generic key in
-  let finish outcome ?report ann =
+  let finish outcome ?report (e : Plan_cache.entry) =
     let dt = Unix.gettimeofday () -. t0 in
     (match outcome with
     | Hit ->
@@ -344,7 +321,8 @@ let resolve t (peeked : A.query) : resolved =
             | Revalidated -> m_oc_reval))
      end);
     {
-      rs_ann = ann;
+      rs_ann = e.Plan_cache.e_ann;
+      rs_exe = e.Plan_cache.e_exe;
       rs_outcome = outcome;
       rs_parse_s = dt;
       rs_fp = h;
@@ -356,7 +334,7 @@ let resolve t (peeked : A.query) : resolved =
       let r =
         match Plan_cache.find t.cache ~h ~key with
         | Some e when epochs_current t e.Plan_cache.e_epochs ->
-            finish Hit e.Plan_cache.e_ann
+            finish Hit e
         | Some e ->
             (* stale stats epoch: lazy recompilation *)
             Plan_cache.count_invalidation t.cache ~h;
@@ -373,10 +351,10 @@ let resolve t (peeked : A.query) : resolved =
               (* cost-delta guard: the refreshed statistics do not move
                  the estimate enough to justify plan churn *)
               Plan_cache.refresh_epochs t.cache ~h e ~epochs;
-              finish Revalidated ~report e.Plan_cache.e_ann)
+              finish Revalidated ~report e)
             else
-              let e' = Plan_cache.replace t.cache ~h ~old_e:e ~ann ~epochs in
-              finish Invalidated ~report e'.Plan_cache.e_ann
+              finish Invalidated ~report
+                (Plan_cache.replace t.cache ~h ~old_e:e ~ann ~epochs)
         | None ->
             let res = compile t peeked in
             let ann = res.D.res_annotation in
@@ -388,7 +366,7 @@ let resolve t (peeked : A.query) : resolved =
                 ~binds:(Fp.binds_count peeked) ~tables
                 ~epochs:(epochs_of t tables)
             in
-            finish Miss ~report:res.D.res_report e.Plan_cache.e_ann
+            finish Miss ~report:res.D.res_report e
       in
       Tr.add_attrs sp
         [
@@ -416,19 +394,21 @@ let squeeze_ws s =
     s;
   Buffer.contents buf
 
-(** Per-operator Q-errors of one analyze-mode execution: estimated
-    rows (fresh {!Planner.Plan_est} pass over the cached plan) against
-    per-invocation actuals, first visit of each physical node only —
-    the same normalization EXPLAIN ANALYZE reports. *)
-let qerrors t (plan : Exec.Plan.t)
+(** Per-operator Q-errors of one analyze-mode execution: the
+    executable's estimated rows against per-invocation actuals, first
+    visit of each physical node only — the same normalization EXPLAIN
+    ANALYZE reports. The estimates are those the entry was stored with,
+    so after a [Revalidated] probe Q-error is measured against the
+    estimates the plan runs with, not against the refreshed
+    statistics. *)
+let qerrors (x : Plan_cache.exe)
     (stat_of : Exec.Plan.t -> Exec.Executor.node_stat option) : float list =
-  let _, est_of = Planner.Plan_est.estimate t.db.Db.cat plan in
-  let visited : unit Exec.Executor.Ptbl.t = Exec.Executor.Ptbl.create 32 in
+  let visited : unit Exec.Plan.Ptbl.t = Exec.Plan.Ptbl.create 32 in
   let acc = ref [] in
   let rec walk p =
-    if not (Exec.Executor.Ptbl.mem visited p) then begin
-      Exec.Executor.Ptbl.add visited p ();
-      (match (stat_of p, est_of p) with
+    if not (Exec.Plan.Ptbl.mem visited p) then begin
+      Exec.Plan.Ptbl.add visited p ();
+      (match (stat_of p, x.Plan_cache.x_est p) with
       | Some st, Some est when st.Exec.Executor.ns_calls > 0 ->
           let act =
             float_of_int st.Exec.Executor.ns_rows
@@ -439,7 +419,7 @@ let qerrors t (plan : Exec.Plan.t)
       List.iter walk (Exec.Plan.children p)
     end
   in
-  walk plan;
+  walk x.Plan_cache.x_plan;
   !acc
 
 (** Execute a parsed query. [binds] fills the query's explicit [:n]
@@ -458,8 +438,8 @@ let exec_ir t (q : A.query) (binds : Value.t list) : exec_result =
   let rs = resolve t peeked in
   let ann = rs.rs_ann in
   let all_binds = Array.append user (Array.of_list extracted) in
-  let plan = par_plan_of t ann.Planner.Annotation.an_plan in
-  let card_of = hints_of t plan in
+  let plan = rs.rs_exe.Plan_cache.x_plan in
+  let card_of = rs.rs_exe.Plan_cache.x_est in
   let es = Exec.Executor.engine_stats_create () in
   let e0 = Unix.gettimeofday () in
   let layout, rows, meter, stat_of =
@@ -515,7 +495,7 @@ let exec_ir t (q : A.query) (binds : Value.t list) : exec_result =
      in
      let qerrs =
        match stat_of with
-       | Some stat_of -> qerrors t plan stat_of
+       | Some stat_of -> qerrors rs.rs_exe stat_of
        | None -> []
      in
      ignore

@@ -34,9 +34,14 @@ let setop_str = function
 
 let dir_str = function Asc -> "ASC" | Desc -> "DESC"
 
+(* the parser reads [DATE n]; [Value.pp]'s [DATE(n)] is for row display *)
+let pp_value ppf = function
+  | Value.Date d -> Fmt.pf ppf "DATE %d" d
+  | v -> Value.pp ppf v
+
 let rec pp_expr ppf (e : expr) =
   match e with
-  | Const v -> Value.pp ppf v
+  | Const v -> pp_value ppf v
   | Bind (i, peek) -> Fmt.pf ppf ":%d{%a}" (i + 1) Value.pp peek
   | Col c -> Fmt.pf ppf "%s.%s" c.c_alias c.c_col
   | Binop (op, a, b) -> Fmt.pf ppf "(%a %s %a)" pp_expr a (arith_str op) pp_expr b
@@ -78,7 +83,7 @@ and pp_pred ppf (p : pred) =
   | And (a, b) -> Fmt.pf ppf "(%a AND %a)" pp_pred a pp_pred b
   | Or (a, b) -> Fmt.pf ppf "(%a OR %a)" pp_pred a pp_pred b
   | In_list (e, vs) ->
-      Fmt.pf ppf "%a IN (%a)" pp_expr e (Fmt.list ~sep:Fmt.comma Value.pp) vs
+      Fmt.pf ppf "%a IN (%a)" pp_expr e (Fmt.list ~sep:Fmt.comma pp_value) vs
   | In_subq (es, q) ->
       Fmt.pf ppf "(%a) IN (%a)" (Fmt.list ~sep:Fmt.comma pp_expr) es pp_query q
   | Not_in_subq (es, q) ->
@@ -122,9 +127,14 @@ and pp_block ppf (b : block) =
     b.select
     (Fmt.list ~sep:Fmt.comma pp_from_entry)
     b.from;
-  (match b.where with
+  (* ROWNUM is a WHERE conjunct in SQL, wherever the block sorts *)
+  (match
+     List.map (fun p ppf -> pp_pred ppf p) b.where
+     @ Option.(to_list (map (fun n ppf -> Fmt.pf ppf "ROWNUM <= %d" n) b.limit))
+   with
   | [] -> ()
-  | ps -> Fmt.pf ppf " WHERE %a" (Fmt.list ~sep:(Fmt.any " AND ") pp_pred) ps);
+  | cs ->
+      Fmt.pf ppf " WHERE %a" (Fmt.list ~sep:(Fmt.any " AND ") (fun ppf f -> f ppf)) cs);
   (match b.group_by with
   | [] -> ()
   | es -> Fmt.pf ppf " GROUP BY %a" (Fmt.list ~sep:Fmt.comma pp_expr) es);
@@ -137,10 +147,7 @@ and pp_block ppf (b : block) =
       Fmt.pf ppf " ORDER BY %a"
         (Fmt.list ~sep:Fmt.comma (fun ppf (e, d) ->
              Fmt.pf ppf "%a %s" pp_expr e (dir_str d)))
-        es);
-  match b.limit with
-  | None -> ()
-  | Some n -> Fmt.pf ppf " ROWNUM <= %d" n
+        es)
 
 and pp_query ppf = function
   | Block b -> pp_block ppf b

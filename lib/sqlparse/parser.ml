@@ -332,7 +332,11 @@ and parse_and st =
   !lhs
 
 and parse_not st =
-  if accept_kw st "NOT" then A.Not (parse_not st) else parse_pred_primary st
+  if not (accept_kw st "NOT") then parse_pred_primary st
+  else if peek st = L.KW "EXISTS" then
+    (* the antijoin predicate, as printed; [NOT (EXISTS q)] stays [Not] *)
+    match parse_pred_primary st with A.Exists q -> A.Not_exists q | p -> A.Not p
+  else A.Not (parse_not st)
 
 and is_subquery_ahead st =
   (* LPAREN (LPAREN)* SELECT *)

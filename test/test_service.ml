@@ -223,6 +223,67 @@ let test_memory_accounting () =
   Alcotest.(check bool) "memory tracked" true
     (Pc.memory_words (Svc.cache svc) > 0)
 
+(* ------------------------------------------------------------------ *)
+(* The entry's executable                                               *)
+(* ------------------------------------------------------------------ *)
+
+let resolve_sql svc (d : Storage.Db.t) sql =
+  let q = Sqlparse.Parser.parse_exn d.Storage.Db.cat sql in
+  Svc.resolve svc (fst (Fp.parameterize (Fp.peek_binds q [||])))
+
+let rec has_exchange (p : Exec.Plan.t) =
+  match p with
+  | Exec.Plan.Exchange _ -> true
+  | p -> List.exists has_exchange (Exec.Plan.children p)
+
+(* two services over one cache run one parallel plan object: the
+   post-pass runs once, in the entry, not once per service *)
+let test_shared_executable () =
+  let pdb, _ =
+    SG.build ~families:1 ~sample_frac:0.5 ~row_scale:0.04 ~partitions:4
+      ~seed:77 ()
+  in
+  let cache =
+    Pc.create ~shards:4 ~dop:(Planner.Parallel.Fixed 2) pdb.Storage.Db.cat
+  in
+  let s1 = Svc.create ~cache pdb and s2 = Svc.create ~cache pdb in
+  let sql = "SELECT f.status_c, COUNT(*) FROM f0_fact0 f GROUP BY f.status_c" in
+  let r1 = resolve_sql s1 pdb sql and r2 = resolve_sql s2 pdb sql in
+  Alcotest.(check bool) "second service hits" true (r2.Svc.rs_outcome = Svc.Hit);
+  let p1 = r1.Svc.rs_exe.Pc.x_plan and p2 = r2.Svc.rs_exe.Pc.x_plan in
+  Alcotest.(check bool) "post-pass added an exchange" true (has_exchange p1);
+  Alcotest.(check bool) "one executable plan" true (p1 == p2);
+  let rows svc = norm_arrays (Svc.exec svc sql []).Svc.r_rows in
+  Alcotest.(check bool) "same rows" true (rows s1 = rows s2)
+
+(* [k] conjuncts: a distinct query shape for every [k] *)
+let conj_shape k =
+  "SELECT e.name FROM employees e WHERE "
+  ^ String.concat " AND "
+      (List.init k (fun i -> Printf.sprintf "e.salary > %d" i))
+
+(* the shape's cached plan after one execution, held weakly only *)
+let weak_cached_plan svc sql =
+  ignore (exec_hr svc sql []);
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some (resolve_sql svc hr sql).Svc.rs_ann.Planner.Annotation.an_plan);
+  w
+
+(* an evicted entry takes its plan and derived artifacts with it, well
+   before the cache has seen 4x its capacity in shapes *)
+let test_evicted_plan_released () =
+  let capacity = 4 in
+  let svc = Svc.create ~config:{ Svc.default_config with Svc.capacity } hr in
+  let w = weak_cached_plan svc (conj_shape 1) in
+  for k = 2 to (2 * capacity) + 1 do
+    ignore (exec_hr svc (conj_shape k) [])
+  done;
+  Gc.full_major ();
+  Alcotest.(check bool) "evicted plan collected" true (Weak.get w 0 = None);
+  (* the service, with everything it holds, is still live here *)
+  Alcotest.(check bool) "first shape evicted" true
+    ((Pc.stats (Svc.cache svc)).Pc.evictions > capacity)
+
 let has_rule rule ds =
   List.exists (fun d -> d.Analysis.Diagnostics.d_rule = rule) ds
 
@@ -416,7 +477,9 @@ let cached_ann =
   lazy (D.optimize db.Storage.Db.cat cached_query).D.res_annotation
 
 let plan_cache_table ~shards ~capacity =
-  let c = Pc.create ~capacity ~shards () in
+  let c =
+    Pc.create ~capacity ~shards ~dop:Planner.Parallel.Serial db.Storage.Db.cat
+  in
   let key = cached_query and ann = Lazy.force cached_ann in
   {
     insert =
@@ -560,6 +623,9 @@ let () =
           Alcotest.test_case "lru eviction" `Quick test_lru_eviction;
           Alcotest.test_case "memory accounting" `Quick
             test_memory_accounting;
+          Alcotest.test_case "shared executable" `Quick test_shared_executable;
+          Alcotest.test_case "evicted plan released" `Quick
+            test_evicted_plan_released;
         ] );
       ( "capacity",
         [
